@@ -54,6 +54,7 @@
 #include "core/rhmd.hh"
 #include "ml/metrics.hh"
 #include "support/csv.hh"
+#include "support/logging.hh"
 #include "support/metrics.hh"
 #include "support/parallel.hh"
 #include "support/table.hh"
@@ -161,30 +162,53 @@ namespace detail
 using support::jsonEscape;
 
 /**
- * Look up this bench's serial wall-time baseline in the checked-in
- * bench/baseline.json ($RHMD_BENCH_BASELINE overrides the path).
- * Returns a negative value when no baseline is recorded. The file is
- * a flat {"<name>": seconds} object; the scan below is enough for
- * that shape.
+ * The baseline file: $RHMD_BENCH_BASELINE when set, else the
+ * bench/baseline.json of the source tree this binary was built from
+ * (stamped by bench/CMakeLists.txt), so the lookup does not depend on
+ * the working directory.
  */
-inline double
-serialBaselineSeconds(const std::string &name)
+inline std::string
+baselinePath()
 {
     const char *env = std::getenv("RHMD_BENCH_BASELINE");
-    const std::string path =
-        env != nullptr ? env : "bench/baseline.json";
+    if (env != nullptr)
+        return env;
+#ifdef RHMD_BENCH_BASELINE_FILE
+    return RHMD_BENCH_BASELINE_FILE;
+#else
+    return "bench/baseline.json";
+#endif
+}
+
+/**
+ * Look up entry @p name in the baseline file (a flat
+ * {"<name>": number} object; the scan below is enough for that
+ * shape). Returns a negative value when the file, the entry or a
+ * parsable number is missing, with the reason in @p why when given.
+ * finish() uses it for the optional serial wall-time baseline (most
+ * benches have none); gates use requiredBaseline().
+ */
+inline double
+baselineEntry(const std::string &name, std::string *why = nullptr)
+{
+    const std::string path = baselinePath();
+    const auto missing = [&](const std::string &reason) {
+        if (why != nullptr)
+            *why = reason;
+        return -1.0;
+    };
     std::ifstream in(path);
     if (!in)
-        return -1.0;
+        return missing("cannot open " + path);
     std::string text((std::istreambuf_iterator<char>(in)),
                      std::istreambuf_iterator<char>());
     const std::string key = "\"" + name + "\"";
     std::size_t pos = text.find(key);
     if (pos == std::string::npos)
-        return -1.0;
+        return missing("no \"" + name + "\" entry in " + path);
     pos = text.find(':', pos + key.size());
     if (pos == std::string::npos)
-        return -1.0;
+        return missing("malformed \"" + name + "\" entry in " + path);
     // End-pointer-validated parse: a malformed baseline entry must
     // read as "no baseline" (negative), not as a silent 0.0 that
     // turns wall-time gates and SLO floors into no-ops.
@@ -192,7 +216,24 @@ serialBaselineSeconds(const std::string &name)
     char *end = nullptr;
     const double value = std::strtod(start, &end);
     if (end == start)
-        return -1.0;
+        return missing("malformed \"" + name + "\" entry in " + path);
+    return value;
+}
+
+/**
+ * A gate value (SLO ceiling, throughput or count floor) the bench
+ * cannot run without: fatal when the file or the entry is missing or
+ * the value is not positive, so a gate never goes silently unchecked.
+ */
+inline double
+requiredBaseline(const std::string &name)
+{
+    std::string why;
+    const double value = baselineEntry(name, &why);
+    fatal_if(value < 0.0, "bench gate '", name, "' has no baseline: ",
+             why, " (set RHMD_BENCH_BASELINE to override the file)");
+    fatal_if(value == 0.0, "bench gate '", name, "' in ", baselinePath(),
+             " is 0, which would disable the gate");
     return value;
 }
 
@@ -255,7 +296,7 @@ finish()
     if (dir == nullptr)
         return 0;
 
-    const double baseline = detail::serialBaselineSeconds(s.name);
+    const double baseline = detail::baselineEntry(s.name);
     std::string json = "{\n";
     json += "  \"bench\": \"" + detail::jsonEscape(s.name) + "\",\n";
     json += "  \"threads\": " + std::to_string(s.threads) + ",\n";

@@ -18,9 +18,15 @@
  *     catches drift even when only one leg runs.
  *  3. On an AVX2 host with auto dispatch, the geomean batch-64
  *     scoring speedup across the five families must clear the
- *     "micro_perf_simd_min_speedup" floor in bench/baseline.json.
+ *     "micro_perf_simd_min_speedup" floor in bench/baseline.json,
+ *     and the NN training speedup (the dispatched Mlp::train
+ *     kernels) the "micro_perf_train_min_speedup" floor.
  *     Timing numbers are printed but never emitted into the tables:
  *     wall time is not deterministic and would break the byte diff.
+ *
+ * The trained NN and RF parameters are hashed into an emitted table
+ * as well, so the scalar/auto byte diff and the in-process sweep
+ * also cover training.
  */
 
 #include "bench_common.hh"
@@ -29,6 +35,7 @@
 #include <chrono>
 #include <cmath>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/hmd.hh"
@@ -133,6 +140,87 @@ trainedFamilies(std::size_t d)
         clf->train(data, trainRng);
     }
     return out;
+}
+
+/** Labeled rows shaped like one study detector's training set. */
+ml::Dataset
+trainingSet(std::size_t rows, std::size_t d, std::uint64_t seed)
+{
+    Rng rng(seed);
+    ml::Dataset data;
+    for (std::size_t i = 0; i < rows; ++i) {
+        const int label = rng.chance(0.5) ? 1 : 0;
+        std::vector<double> x(d);
+        for (std::size_t j = 0; j < d; ++j)
+            x[j] = rng.gaussian(label == 1 ? 0.3 : -0.3, 1.0);
+        data.add(std::move(x), label);
+    }
+    return data;
+}
+
+/** The two trainers the study spends its time in. */
+std::unique_ptr<ml::Classifier>
+makeTrainer(const std::string &family)
+{
+    if (family == "NN") {
+        ml::MlpConfig mlp;
+        mlp.epochs = 10;
+        return std::make_unique<ml::Mlp>(mlp);
+    }
+    return std::make_unique<ml::RandomForest>();
+}
+
+/** Hash of every trained parameter of an NN or RF, bit for bit. */
+std::uint64_t
+hashTrained(const ml::Classifier &clf)
+{
+    std::uint64_t h = kFnvOffset;
+    if (const auto *mlp = dynamic_cast<const ml::Mlp *>(&clf)) {
+        for (const auto &row : mlp->hiddenWeights())
+            h = hashScores(h, row);
+        h = hashScores(h, mlp->hiddenBias());
+        h = hashScores(h, mlp->outputWeights());
+        return hashScores(h, {mlp->outputBias()});
+    }
+    const auto &forest = dynamic_cast<const ml::RandomForest &>(clf);
+    for (const ml::DecisionTree &tree : forest.trees()) {
+        for (const ml::DecisionTree::Node &node : tree.nodes()) {
+            h = hashScores(h, {node.value, node.threshold,
+                               static_cast<double>(node.feature),
+                               static_cast<double>(node.left),
+                               static_cast<double>(node.right)});
+        }
+    }
+    return h;
+}
+
+/** Train @p family on @p data and hash the result. */
+std::uint64_t
+trainedHash(const std::string &family, const ml::Dataset &data)
+{
+    std::unique_ptr<ml::Classifier> clf = makeTrainer(family);
+    Rng rng(7);
+    clf->train(data, rng);
+    return hashTrained(*clf);
+}
+
+/** Training throughput: dataset rows per second of train(). */
+double
+trainRowsPerSecond(const std::string &family, const ml::Dataset &data,
+                   double budget)
+{
+    using clock = std::chrono::steady_clock;
+    (void)trainedHash(family, data);  // warm caches and dispatch
+    std::size_t reps = 0;
+    const clock::time_point start = clock::now();
+    double elapsed = 0.0;
+    do {
+        (void)trainedHash(family, data);
+        ++reps;
+        elapsed =
+            std::chrono::duration<double>(clock::now() - start).count();
+    } while (elapsed < budget);
+    return static_cast<double>(data.size() * reps) / elapsed;
 }
 
 /** Synthetic raw windows; the last one is a truncated tail. */
@@ -266,6 +354,25 @@ main(int argc, char **argv)
          hashHex(hashDecisions(kFnvOffset, window_decisions))});
     emitTable(hmd_table);
 
+    // ---- Trained-model hashes (emitted) ----------------------------
+    // The dispatched Mlp::train kernels and the presorted CART must
+    // give the same parameters under every target.
+    const std::size_t train_dim = 20;
+    const ml::Dataset train_data =
+        trainingSet(smoke() ? 500 : 2000, train_dim, 1729);
+    const std::vector<std::string> trainers = {"NN", "RF"};
+    std::printf("\ntraining determinism (target %s)\n",
+                simd::targetName(active));
+    Table train_det({"family", "rows", "dim", "param_hash"});
+    std::vector<std::uint64_t> train_hashes;
+    for (const std::string &family : trainers) {
+        train_hashes.push_back(trainedHash(family, train_data));
+        train_det.addRow({family, std::to_string(train_data.size()),
+                          std::to_string(train_dim),
+                          hashHex(train_hashes.back())});
+    }
+    emitTable(train_det);
+
     // ---- In-process cross-target sweep (asserted, not emitted) -----
     // Re-score everything under every host-supported target; any
     // hash drift from the env-resolved run above is fatal.
@@ -285,6 +392,13 @@ main(int argc, char **argv)
         fatal_if(h != hmd_hash, "hmd window scores under target '",
                  simd::targetName(target), "' diverge: ", hashHex(h),
                  " vs ", hashHex(hmd_hash));
+        for (std::size_t f = 0; f < trainers.size(); ++f) {
+            const std::uint64_t th = trainedHash(trainers[f], train_data);
+            fatal_if(th != train_hashes[f], trainers[f],
+                     " trained under target '", simd::targetName(target),
+                     "' diverges: ", hashHex(th), " vs ",
+                     hashHex(train_hashes[f]));
+        }
     }
     simd::setActiveTarget(active);
     std::printf("\ncross-target sweep: all supported targets "
@@ -316,19 +430,53 @@ main(int argc, char **argv)
     std::printf("geomean batch-64 speedup (%s vs scalar): %.2fx\n",
                 simd::targetName(active), geomean);
 
-    // ---- Speedup floor (AVX2 hosts, auto dispatch) -----------------
+    // ---- Training throughput, scalar vs active (printed only) ------
+    // RF rows are there for scale: tree growth has no dispatched
+    // kernel, so its two columns measure the same code.
+    std::printf("\ntraining throughput, %zu rows x %zu features "
+                "(timing; not in the deterministic tables)\n",
+                train_data.size(), train_dim);
+    Table train_timing(
+        {"family", "scalar_rows_per_s",
+         std::string(simd::targetName(active)) + "_rows_per_s",
+         "speedup"});
+    double nn_train_speedup = 0.0;
+    for (const std::string &family : trainers) {
+        simd::setActiveTarget(simd::Target::Scalar);
+        const double scalar_rps =
+            trainRowsPerSecond(family, train_data, budget);
+        simd::setActiveTarget(active);
+        const double active_rps =
+            trainRowsPerSecond(family, train_data, budget);
+        const double speedup = active_rps / scalar_rps;
+        if (family == "NN")
+            nn_train_speedup = speedup;
+        train_timing.addRow({family, Table::cell(scalar_rps, 0),
+                             Table::cell(active_rps, 0),
+                             Table::cell(speedup, 2)});
+    }
+    train_timing.print(std::cout);
+
+    // ---- Speedup floors (AVX2 hosts, auto dispatch) ----------------
     if (active == simd::Target::Avx2) {
-        double floor = bench::detail::serialBaselineSeconds(
+        const double floor = bench::detail::requiredBaseline(
             "micro_perf_simd_min_speedup");
-        if (floor <= 0.0)
-            floor = 1.5;
         fatal_if(geomean < floor, "vectorized batch-64 scoring is only ",
                  Table::cell(geomean, 2), "x scalar (floor ",
                  Table::cell(floor, 2),
                  "x): the avx2 kernels regressed");
-        std::printf("speedup floor %.2fx: passed\n", floor);
+        std::printf("scoring speedup floor %.2fx: passed\n", floor);
+        const double train_floor = bench::detail::requiredBaseline(
+            "micro_perf_train_min_speedup");
+        fatal_if(nn_train_speedup < train_floor,
+                 "NN training under avx2 is only ",
+                 Table::cell(nn_train_speedup, 2), "x scalar (floor ",
+                 Table::cell(train_floor, 2),
+                 "x): the training kernels regressed");
+        std::printf("training speedup floor %.2fx: passed\n",
+                    train_floor);
     } else {
-        std::printf("speedup floor: skipped (active target %s is not "
+        std::printf("speedup floors: skipped (active target %s is not "
                     "avx2)\n",
                     simd::targetName(active));
     }

@@ -393,16 +393,10 @@ main(int argc, char **argv)
                 "requests (pool v1 served %zu, v2 served %zu)\n",
                 p50, p99, total_requests, version_old, version_new);
     const double slo =
-        bench::detail::serialBaselineSeconds("serve_chaos_p99_micros");
-    if (slo > 0.0) {
-        fatal_if(p99 > slo, "p99 latency ", p99,
-                 "us exceeds the serve_chaos_p99_micros SLO of ", slo,
-                 "us");
-        std::printf("p99 within SLO (%.0fus)\n", slo);
-    } else {
-        std::printf("no serve_chaos_p99_micros SLO found; latency "
-                    "unchecked\n");
-    }
+        bench::detail::requiredBaseline("serve_chaos_p99_micros");
+    fatal_if(p99 > slo, "p99 latency ", p99,
+             "us exceeds the serve_chaos_p99_micros SLO of ", slo, "us");
+    std::printf("p99 within SLO (%.0fus)\n", slo);
 
     // ---- Deterministic table (recorded for the cross-thread diff) --
     std::printf("\ndeterministic chaos-serving results\n");

@@ -325,12 +325,10 @@ main(int argc, char **argv)
              "the scenario promoted no candidate at all; drift or "
              "gate tuning has regressed");
     const double promotions_min =
-        bench::detail::serialBaselineSeconds(
-            "serve_retrain_promotions_min");
-    if (promotions_min > 0.0)
-        fatal_if(static_cast<double>(promotions) < promotions_min,
-                 "promotions SLO violated: ", promotions,
-                 " < baseline floor ", promotions_min);
+        bench::detail::requiredBaseline("serve_retrain_promotions_min");
+    fatal_if(static_cast<double>(promotions) < promotions_min,
+             "promotions SLO violated: ", promotions,
+             " < baseline floor ", promotions_min);
 
     std::remove(pc.recorder.path.c_str());
 

@@ -6,7 +6,10 @@
 #include "ml/decision_tree.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
+#include <limits>
+#include <numeric>
 
 #include "ml/kernels.hh"
 #include "support/logging.hh"
@@ -19,49 +22,72 @@ DecisionTree::DecisionTree(TreeConfig config)
 {
 }
 
-std::int32_t
-DecisionTree::build(const Dataset &data,
-                    std::vector<std::size_t> &indices, std::size_t depth)
+/**
+ * Presorted CART state, allocated once per grow(). order holds one
+ * index list per feature: order[f * rows + start, + count) is the
+ * current node's rows sorted by feature f. A split stably partitions
+ * every feature's segment into [left | right], so each child's
+ * segments stay sorted and no node ever sorts or allocates.
+ */
+struct DecisionTree::GrowState
 {
+    const ColumnSample &sample;
+    std::vector<std::uint32_t> order;     ///< [feature][position]
+    std::vector<std::uint32_t> spill;     ///< right rows mid-partition
+    std::vector<std::uint8_t> goesLeft;   ///< [row], current split
+};
+
+std::int32_t
+DecisionTree::build(GrowState &state, std::size_t start,
+                    std::size_t count, std::size_t depth)
+{
+    const ColumnSample &sample = state.sample;
+    const std::size_t n = sample.rows;
+    const int *labels = sample.labels.data();
     const auto node_id = static_cast<std::int32_t>(nodes_.size());
     nodes_.emplace_back();
 
+    // Every feature's segment holds the node's rows; use feature 0's.
+    std::uint32_t *rows = state.order.data() + start;
     std::size_t positives = 0;
-    for (std::size_t i : indices)
-        positives += data.y[i];
-    const double frac = indices.empty()
+    for (std::size_t k = 0; k < count; ++k)
+        positives += static_cast<std::size_t>(labels[rows[k]]);
+    const double frac = count == 0
         ? 0.5
-        : static_cast<double>(positives) /
-              static_cast<double>(indices.size());
+        : static_cast<double>(positives) / static_cast<double>(count);
     nodes_[node_id].value = frac;
 
-    const bool pure = positives == 0 || positives == indices.size();
+    const bool pure = positives == 0 || positives == count;
     if (pure || depth >= config_.maxDepth ||
-        indices.size() < config_.minSamplesSplit) {
+        count < config_.minSamplesSplit) {
         return node_id;
     }
 
-    // Greedy best Gini split across all features.
-    const std::size_t d = data.dim();
+    // Greedy best Gini split across all features, scanning each
+    // feature's rows in ascending value order. Only boundaries
+    // between distinct values are candidates, and the counts left of
+    // such a boundary do not depend on how tied rows are ordered, so
+    // this visits the same (feature, boundary) candidates with the
+    // same counts as sorting (value, label) pairs per node would.
+    const std::size_t d = sample.dim;
     double best_gini = 2.0;
     std::size_t best_feature = 0;
     double best_threshold = 0.0;
 
-    std::vector<std::pair<double, int>> column(indices.size());
     for (std::size_t f = 0; f < d; ++f) {
-        for (std::size_t k = 0; k < indices.size(); ++k) {
-            column[k] = {data.x[indices[k]][f], data.y[indices[k]]};
-        }
-        std::sort(column.begin(), column.end());
-
+        const std::uint32_t *idx = state.order.data() + f * n + start;
+        const double *col = sample.values.data() + f * n;
         std::size_t left_n = 0;
         std::size_t left_pos = 0;
-        const std::size_t total_n = column.size();
+        const std::size_t total_n = count;
         const std::size_t total_pos = positives;
+        double next = col[idx[0]];
         for (std::size_t k = 0; k + 1 < total_n; ++k) {
+            const double value = next;
+            next = col[idx[k + 1]];
             ++left_n;
-            left_pos += column[k].second;
-            if (column[k].first == column[k + 1].first)
+            left_pos += static_cast<std::size_t>(labels[idx[k]]);
+            if (value == next)
                 continue;  // no threshold between equal values
             const std::size_t right_n = total_n - left_n;
             if (left_n < config_.minSamplesLeaf ||
@@ -82,8 +108,7 @@ DecisionTree::build(const Dataset &data,
             if (weighted < best_gini) {
                 best_gini = weighted;
                 best_feature = f;
-                best_threshold =
-                    0.5 * (column[k].first + column[k + 1].first);
+                best_threshold = 0.5 * (value + next);
             }
         }
     }
@@ -91,22 +116,36 @@ DecisionTree::build(const Dataset &data,
     if (best_gini >= 2.0)
         return node_id;  // no admissible split
 
-    std::vector<std::size_t> left_idx;
-    std::vector<std::size_t> right_idx;
-    for (std::size_t i : indices) {
-        if (data.x[i][best_feature] <= best_threshold)
-            left_idx.push_back(i);
-        else
-            right_idx.push_back(i);
+    const double *split_col = sample.values.data() + best_feature * n;
+    std::size_t left_count = 0;
+    for (std::size_t k = 0; k < count; ++k) {
+        const bool left = split_col[rows[k]] <= best_threshold;
+        state.goesLeft[rows[k]] = left ? 1 : 0;
+        left_count += left ? 1 : 0;
     }
-    panic_if(left_idx.empty() || right_idx.empty(),
+    panic_if(left_count == 0 || left_count == count,
              "degenerate decision-tree split");
 
-    indices.clear();
-    indices.shrink_to_fit();
+    for (std::size_t f = 0; f < d; ++f) {
+        std::uint32_t *seg = state.order.data() + f * n + start;
+        std::size_t kept = 0;
+        std::size_t spilled = 0;
+        for (std::size_t k = 0; k < count; ++k) {
+            const std::uint32_t row = seg[k];
+            if (state.goesLeft[row] != 0)
+                seg[kept++] = row;
+            else
+                state.spill[spilled++] = row;
+        }
+        std::copy(state.spill.begin(),
+                  state.spill.begin() +
+                      static_cast<std::ptrdiff_t>(spilled),
+                  seg + kept);
+    }
 
-    const std::int32_t left = build(data, left_idx, depth + 1);
-    const std::int32_t right = build(data, right_idx, depth + 1);
+    const std::int32_t left = build(state, start, left_count, depth + 1);
+    const std::int32_t right = build(state, start + left_count,
+                                     count - left_count, depth + 1);
     nodes_[node_id].leaf = false;
     nodes_[node_id].feature = best_feature;
     nodes_[node_id].threshold = best_threshold;
@@ -116,16 +155,51 @@ DecisionTree::build(const Dataset &data,
 }
 
 void
+DecisionTree::grow(const ColumnSample &sample)
+{
+    const std::size_t n = sample.rows;
+    panic_if(sample.values.size() != n * sample.dim ||
+                 sample.labels.size() != n,
+             "inconsistent column sample shape");
+    fatal_if(n > std::numeric_limits<std::uint32_t>::max(),
+             "too many rows for one decision tree: ", n);
+    nodes_.clear();
+    flat_ = FlatTree{};
+
+    GrowState state{sample, {}, {}, {}};
+    state.order.resize(sample.dim * n);
+    for (std::size_t f = 0; f < sample.dim; ++f) {
+        const double *col = sample.values.data() + f * n;
+        for (std::size_t i = 0; i < n; ++i)
+            fatal_if(std::isnan(col[i]),
+                     "cannot train DT on NaN feature values");
+        std::uint32_t *seg = state.order.data() + f * n;
+        std::iota(seg, seg + n, std::uint32_t{0});
+        std::sort(seg, seg + n, [col](std::uint32_t a, std::uint32_t b) {
+            return col[a] < col[b];
+        });
+    }
+    state.spill.resize(n);
+    state.goesLeft.resize(n);
+    build(state, 0, n, 0);
+}
+
+void
 DecisionTree::train(const Dataset &data, Rng &rng)
 {
     (void)rng;  // CART is deterministic
     fatal_if(data.empty(), "cannot train DT on empty data");
     data.validate();
-    nodes_.clear();
-    std::vector<std::size_t> indices(data.size());
-    for (std::size_t i = 0; i < data.size(); ++i)
-        indices[i] = i;
-    build(data, indices, 0);
+    ColumnSample sample;
+    sample.rows = data.size();
+    sample.dim = data.dim();
+    sample.values.resize(sample.rows * sample.dim);
+    for (std::size_t i = 0; i < sample.rows; ++i) {
+        for (std::size_t f = 0; f < sample.dim; ++f)
+            sample.values[f * sample.rows + i] = data.x[i][f];
+    }
+    sample.labels = data.y;
+    grow(sample);
     flat_ = flattenTree(nodes_, nullptr);
 }
 
@@ -187,8 +261,9 @@ DecisionTree::scoreBatch(const features::FeatureMatrix &x) const
 {
     panic_if(nodes_.empty(), "DT scored before training");
     const KernelTable &k = kernels();
-    if (k.target == simd::Target::Scalar) {
-        // Reference path: the historical per-row walk over nodes_.
+    if (k.target == simd::Target::Scalar || flat_.empty()) {
+        // Reference path: the historical per-row walk over nodes_
+        // (also the path of a forest's trees, grown unflattened).
         std::vector<double> out(x.rows());
         for (std::size_t r = 0; r < x.rows(); ++r)
             out[r] = scoreRow(x.row(r));

@@ -64,13 +64,41 @@ class DecisionTree : public Classifier
     /** The grown node array (root at index 0; empty before train). */
     const std::vector<Node> &nodes() const { return nodes_; }
 
-    /** The grown tree in kernel layout (rebuilt by train()). */
+    /**
+     * The grown tree in kernel layout (rebuilt by train()). Empty for
+     * the trees of a RandomForest, which keeps its own remapped
+     * copies; scoreBatch() then walks nodes() instead.
+     */
     const FlatTree &flat() const { return flat_; }
 
   private:
-    std::int32_t build(const Dataset &data,
-                       std::vector<std::size_t> &indices,
-                       std::size_t depth);
+    friend class RandomForest;
+
+    /**
+     * A training sample in column-major layout: feature f of row i is
+     * values[f * rows + i]. train() copies its Dataset into this
+     * form; RandomForest writes each bootstrap sample straight into
+     * it.
+     */
+    struct ColumnSample
+    {
+        std::size_t rows = 0;
+        std::size_t dim = 0;
+        std::vector<double> values;  ///< [feature][row]
+        std::vector<int> labels;     ///< [row]
+    };
+
+    /** Per-grow scratch; see build(). */
+    struct GrowState;
+
+    /**
+     * Grow nodes_ from @p sample without flattening (the forest
+     * flattens with its own feature remap). Rows must be NaN-free.
+     */
+    void grow(const ColumnSample &sample);
+
+    std::int32_t build(GrowState &state, std::size_t start,
+                       std::size_t count, std::size_t depth);
 
     TreeConfig config_;
     std::vector<Node> nodes_;

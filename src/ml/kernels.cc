@@ -110,6 +110,33 @@ scalarRateConvertF64(const double *num, std::size_t n, double denom,
         out[k] = num[k] / denom;
 }
 
+void
+scalarMlpHiddenPre(const double *w, const double *x, const double *bias,
+                   std::size_t inputs, std::size_t hidden, double *pre)
+{
+    for (std::size_t h = 0; h < hidden; ++h) {
+        double z = 0.0;
+        for (std::size_t j = 0; j < inputs; ++j)
+            z += w[j * hidden + h] * x[j];
+        pre[h] = z + bias[h];
+    }
+}
+
+void
+scalarMomentumStep(double *w, double *v, const double *g,
+                   const double *s, std::size_t rows, std::size_t n,
+                   double momentum, double step, double l2)
+{
+    for (std::size_t r = 0; r < rows; ++r) {
+        double *wr = w + r * n;
+        double *vr = v + r * n;
+        for (std::size_t i = 0; i < n; ++i) {
+            vr[i] = momentum * vr[i] - step * (g[i] * s[r] + l2 * wr[i]);
+            wr[i] += vr[i];
+        }
+    }
+}
+
 } // namespace
 
 namespace detail
@@ -127,6 +154,8 @@ scalarTable()
         scalarRateConvertU32,
         scalarRateAccumulateU32,
         scalarRateConvertF64,
+        scalarMlpHiddenPre,
+        scalarMomentumStep,
     };
     return table;
 }

@@ -1,11 +1,12 @@
 /**
  * @file
- * Runtime-dispatched scoring kernels over the SoA feature layout.
+ * Runtime-dispatched scoring and training kernels.
  *
  * Every hot loop of the scoring path — the LR/SVM/MLP affine
  * margins, decision-tree and forest traversal, the standardizer, and
- * the per-window count-to-rate conversions — is reachable through
- * one KernelTable of function pointers. kernels() returns the table
+ * the per-window count-to-rate conversions — and the two inner steps
+ * of MLP training are reachable through one KernelTable of function
+ * pointers. kernels() returns the table
  * for simd::activeTarget(): the "scalar" table holds the reference
  * implementations (byte-for-byte the historical serial loops), and
  * each vector table (sse2/avx2/neon) holds kernels that vectorize
@@ -77,6 +78,35 @@ struct KernelTable
     /** out[k] = num[k] / denom for k < n. */
     void (*rateConvertF64)(const double *num, std::size_t n,
                            double denom, double *out);
+
+    // --- Training kernels (Mlp::train) ------------------------------
+    //
+    // Both operate on an input-major weight block w[j * hidden + h]
+    // (input j, hidden unit h) so consecutive hidden units are
+    // contiguous and one vector lane owns one hidden unit.
+
+    /**
+     * pre[h] = (sum_j w[j * hidden + h] * x[j]) + bias[h] for
+     * h < hidden: lane h starts at +0.0 and adds in ascending j, then
+     * adds the bias last — the dot(w1[h], x) + b1[h] order of the
+     * row-major reference, bit for bit.
+     */
+    void (*mlpHiddenPre)(const double *w, const double *x,
+                         const double *bias, std::size_t inputs,
+                         std::size_t hidden, double *pre);
+
+    /**
+     * One momentum-SGD step over a rows x n block, for r < rows and
+     * i < n with k = r * n + i:
+     *   v[k] = momentum * v[k] - step * (g[i] * s[r] + l2 * w[k]);
+     *   w[k] += v[k];
+     * Every element is independent, so each is the scalar
+     * expression evaluated exactly as written.
+     */
+    void (*momentumStep)(double *w, double *v, const double *g,
+                         const double *s, std::size_t rows,
+                         std::size_t n, double momentum, double step,
+                         double l2);
 };
 
 /** The kernel table for simd::activeTarget(). */

@@ -126,6 +126,8 @@ avx2Table()
         t.rateConvertU32 = rateConvertU32Vec<simd::VecAvx2>;
         t.rateAccumulateU32 = rateAccumulateU32Vec<simd::VecAvx2>;
         t.rateConvertF64 = rateConvertF64Vec<simd::VecAvx2>;
+        t.mlpHiddenPre = mlpHiddenPreVec<simd::VecAvx2>;
+        t.momentumStep = momentumStepVec<simd::VecAvx2>;
         return t;
     }();
     return table;

@@ -6,7 +6,8 @@
  * Each body is the scalar reference loop with its independent-element
  * dimension strip-mined to Vec::kLanes: linearMargin runs one batch
  * row per lane with the per-row j-ascending accumulation untouched,
- * and the element-wise kernels (standardize, rate conversion) split
+ * mlpHiddenPre runs one hidden unit per lane the same way, and the
+ * element-wise kernels (standardize, rate conversion, momentum) split
  * into a full-vector body plus a scalar tail that is literally the
  * reference loop. No body ever reassociates a reduction, so results
  * are bit-identical to the scalar table on every input (DESIGN.md
@@ -145,6 +146,81 @@ rateConvertF64Vec(const double *num, std::size_t n, double denom,
         (Vec::load(num + k) / vdenom).store(out + k);
     for (; k < n; ++k)
         out[k] = num[k] / denom;
+}
+
+/**
+ * MLP hidden pre-activations over the input-major [j][h] block, one
+ * hidden unit per lane: lane h starts at +0.0, adds w[j][h] * x[j] in
+ * ascending j and adds bias[h] last, exactly the scalar reference.
+ * Two lane blocks per pass give two independent add chains (ILP
+ * without reassociation); units past the last full vector run the
+ * reference loop.
+ */
+template <typename Vec>
+void
+mlpHiddenPreVec(const double *w, const double *x, const double *bias,
+                std::size_t inputs, std::size_t hidden, double *pre)
+{
+    std::size_t h = 0;
+    for (; h + 2 * Vec::kLanes <= hidden; h += 2 * Vec::kLanes) {
+        Vec acc0 = Vec::zero();
+        Vec acc1 = Vec::zero();
+        const double *p = w + h;
+        for (std::size_t j = 0; j < inputs; ++j) {
+            const Vec vx = Vec::broadcast(x[j]);
+            acc0 = acc0 + Vec::load(p + j * hidden) * vx;
+            acc1 = acc1 + Vec::load(p + j * hidden + Vec::kLanes) * vx;
+        }
+        (acc0 + Vec::load(bias + h)).store(pre + h);
+        (acc1 + Vec::load(bias + h + Vec::kLanes))
+            .store(pre + h + Vec::kLanes);
+    }
+    for (; h + Vec::kLanes <= hidden; h += Vec::kLanes) {
+        Vec acc = Vec::zero();
+        const double *p = w + h;
+        for (std::size_t j = 0; j < inputs; ++j)
+            acc = acc + Vec::load(p + j * hidden) * Vec::broadcast(x[j]);
+        (acc + Vec::load(bias + h)).store(pre + h);
+    }
+    for (; h < hidden; ++h) {
+        double z = 0.0;
+        for (std::size_t j = 0; j < inputs; ++j)
+            z += w[j * hidden + h] * x[j];
+        pre[h] = z + bias[h];
+    }
+}
+
+/**
+ * Momentum-SGD step, vector body + scalar tail per row. Each lane
+ * evaluates momentum * v - step * (g * s + l2 * w) with the operand
+ * order and rounding steps of the scalar expression.
+ */
+template <typename Vec>
+void
+momentumStepVec(double *w, double *v, const double *g, const double *s,
+                std::size_t rows, std::size_t n, double momentum,
+                double step, double l2)
+{
+    const Vec vmom = Vec::broadcast(momentum);
+    const Vec vstep = Vec::broadcast(step);
+    const Vec vl2 = Vec::broadcast(l2);
+    for (std::size_t r = 0; r < rows; ++r) {
+        double *wr = w + r * n;
+        double *vr = v + r * n;
+        const Vec vs = Vec::broadcast(s[r]);
+        std::size_t i = 0;
+        for (; i + Vec::kLanes <= n; i += Vec::kLanes) {
+            const Vec wv = Vec::load(wr + i);
+            const Vec vel = vmom * Vec::load(vr + i) -
+                            vstep * (Vec::load(g + i) * vs + vl2 * wv);
+            vel.store(vr + i);
+            (wv + vel).store(wr + i);
+        }
+        for (; i < n; ++i) {
+            vr[i] = momentum * vr[i] - step * (g[i] * s[r] + l2 * wr[i]);
+            wr[i] += vr[i];
+        }
+    }
 }
 
 } // namespace rhmd::ml::detail

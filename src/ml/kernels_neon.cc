@@ -24,6 +24,8 @@ neonTable()
         t.rateConvertU32 = rateConvertU32Vec<simd::VecNeon>;
         t.rateAccumulateU32 = rateAccumulateU32Vec<simd::VecNeon>;
         t.rateConvertF64 = rateConvertF64Vec<simd::VecNeon>;
+        t.mlpHiddenPre = mlpHiddenPreVec<simd::VecNeon>;
+        t.momentumStep = momentumStepVec<simd::VecNeon>;
         return t;
     }();
     return table;

@@ -25,6 +25,8 @@ sse2Table()
         t.rateConvertU32 = rateConvertU32Vec<simd::VecSse2>;
         t.rateAccumulateU32 = rateAccumulateU32Vec<simd::VecSse2>;
         t.rateConvertF64 = rateConvertF64Vec<simd::VecSse2>;
+        t.mlpHiddenPre = mlpHiddenPreVec<simd::VecSse2>;
+        t.momentumStep = momentumStepVec<simd::VecSse2>;
         return t;
     }();
     return table;

@@ -26,31 +26,39 @@ Mlp::train(const Dataset &data, Rng &rng)
     fatal_if(data.empty(), "cannot train MLP on empty data");
     data.validate();
     inputDim_ = data.dim();
-    const std::size_t hidden =
-        config_.hidden == 0 ? inputDim_ : config_.hidden;
+    const std::size_t d = inputDim_;
+    const std::size_t hidden = config_.hidden == 0 ? d : config_.hidden;
 
+    // Training runs on an input-major copy of the hidden layer,
+    // w1[j * hidden + h], so the kernels give each hidden unit its
+    // own vector lane; w1_ gets the [hidden][input] layout back at
+    // the end. Draws happen in the [h][j] order regardless, so the
+    // initial weights do not depend on the layout.
     const double init_sd =
-        config_.initScale / std::sqrt(static_cast<double>(inputDim_));
-    w1_.assign(hidden, std::vector<double>(inputDim_));
+        config_.initScale / std::sqrt(static_cast<double>(d));
+    std::vector<double> w1(d * hidden);
+    for (std::size_t h = 0; h < hidden; ++h) {
+        for (std::size_t j = 0; j < d; ++j)
+            w1[j * hidden + h] = rng.gaussian(0.0, init_sd);
+    }
     b1_.assign(hidden, 0.0);
     w2_.assign(hidden, 0.0);
     b2_ = 0.0;
-    for (auto &row : w1_) {
-        for (double &w : row)
-            w = rng.gaussian(0.0, init_sd);
-    }
     const double out_sd =
         config_.initScale / std::sqrt(static_cast<double>(hidden));
     for (double &w : w2_)
         w = rng.gaussian(0.0, out_sd);
 
-    std::vector<std::vector<double>> v1(
-        hidden, std::vector<double>(inputDim_, 0.0));
+    std::vector<double> v1(d * hidden, 0.0);
     std::vector<double> vb1(hidden, 0.0);
     std::vector<double> v2(hidden, 0.0);
     double vb2 = 0.0;
 
     std::vector<double> act(hidden);
+    std::vector<double> delta(hidden);
+    const KernelTable &k = kernels();
+    const double momentum = config_.momentum;
+    const double l2 = config_.l2;
 
     for (std::size_t epoch = 0; epoch < config_.epochs; ++epoch) {
         const double step = config_.learningRate /
@@ -59,43 +67,43 @@ Mlp::train(const Dataset &data, Rng &rng)
             rng.permutation(data.size());
 
         for (std::size_t i : order) {
-            const std::vector<double> &x = data.x[i];
+            const double *x = data.x[i].data();
             const double target = static_cast<double>(data.y[i]);
 
-            // Forward.
+            // Forward: the tanh calls and the h-ascending output sum
+            // stay scalar.
+            k.mlpHiddenPre(w1.data(), x, b1_.data(), d, hidden,
+                           act.data());
             double z_out = b2_;
             for (std::size_t h = 0; h < hidden; ++h) {
-                act[h] = std::tanh(dot(w1_[h], x) + b1_[h]);
+                act[h] = std::tanh(act[h]);
                 z_out += w2_[h] * act[h];
             }
             const double p = sigmoid(z_out);
 
-            // Backward: dLoss/dz_out for log loss is (p - y).
+            // Backward: dLoss/dz_out for log loss is (p - y). Every
+            // hidden delta reads w2_[h] before its update below.
             const double delta_out = p - target;
+            for (std::size_t h = 0; h < hidden; ++h)
+                delta[h] = delta_out * w2_[h] * (1.0 - act[h] * act[h]);
 
+            k.momentumStep(w2_.data(), v2.data(), act.data(), &delta_out,
+                           1, hidden, momentum, step, l2);
+            k.momentumStep(w1.data(), v1.data(), delta.data(), x, d,
+                           hidden, momentum, step, l2);
             for (std::size_t h = 0; h < hidden; ++h) {
-                const double delta_h =
-                    delta_out * w2_[h] * (1.0 - act[h] * act[h]);
-
-                v2[h] = config_.momentum * v2[h] -
-                        step * (delta_out * act[h] +
-                                config_.l2 * w2_[h]);
-                w2_[h] += v2[h];
-
-                auto &w_row = w1_[h];
-                auto &v_row = v1[h];
-                for (std::size_t j = 0; j < inputDim_; ++j) {
-                    v_row[j] = config_.momentum * v_row[j] -
-                               step * (delta_h * x[j] +
-                                       config_.l2 * w_row[j]);
-                    w_row[j] += v_row[j];
-                }
-                vb1[h] = config_.momentum * vb1[h] - step * delta_h;
+                vb1[h] = momentum * vb1[h] - step * delta[h];
                 b1_[h] += vb1[h];
             }
-            vb2 = config_.momentum * vb2 - step * delta_out;
+            vb2 = momentum * vb2 - step * delta_out;
             b2_ += vb2;
         }
+    }
+
+    w1_.assign(hidden, std::vector<double>(d));
+    for (std::size_t h = 0; h < hidden; ++h) {
+        for (std::size_t j = 0; j < d; ++j)
+            w1_[h][j] = w1[j * hidden + h];
     }
 }
 

@@ -64,18 +64,25 @@ RandomForest::train(const Dataset &data, Rng &rng)
                 TreeResult result;
                 result.sel.assign(perm.begin(),
                                   perm.begin() + features_per_tree);
-                // Bootstrap sample projected onto the subset.
-                Dataset sample;
+                // Bootstrap sample projected onto the subset, written
+                // straight into the trainer's column-major layout.
+                DecisionTree::ColumnSample sample;
+                sample.rows = samples_per_tree;
+                sample.dim = result.sel.size();
+                sample.values.resize(sample.rows * sample.dim);
+                sample.labels.resize(sample.rows);
                 for (std::size_t k = 0; k < samples_per_tree; ++k) {
                     const std::size_t i = tree_rng.below(data.size());
-                    std::vector<double> row;
-                    row.reserve(result.sel.size());
-                    for (std::size_t f : result.sel)
-                        row.push_back(data.x[i][f]);
-                    sample.add(std::move(row), data.y[i]);
+                    const std::vector<double> &row = data.x[i];
+                    for (std::size_t c = 0; c < sample.dim; ++c)
+                        sample.values[c * sample.rows + k] =
+                            row[result.sel[c]];
+                    sample.labels[k] = data.y[i];
                 }
+                // Grown without the tree's own flat copy: the forest
+                // flattens below with the feature remap.
                 result.tree = DecisionTree(config_.tree);
-                result.tree.train(sample, tree_rng);
+                result.tree.grow(sample);
                 return result;
             });
     for (TreeResult &result : grown) {
