@@ -23,7 +23,8 @@
  *
  * finish() emits a machine-readable BENCH_<name>.json (wall time,
  * thread count, speedup vs the recorded serial baseline, the run
- * manifest, and every table the run printed) into
+ * manifest, the ungated timing rows of recordTiming(), and every
+ * table the run printed) into
  * $RHMD_BENCH_JSON_DIR when that is set. The tables are
  * byte-identical across thread counts — the CI bench-regression job
  * diffs them between --threads 1 and --threads $(nproc) runs.
@@ -70,6 +71,18 @@ struct TableRecord
     std::vector<std::vector<std::string>> rows;
 };
 
+/**
+ * One wall-clock measurement for the BENCH_<name>.json "timing" list.
+ * Timing rows sit outside "tables": they differ run to run, so the
+ * byte-diff gates never see them.
+ */
+struct TimingRecord
+{
+    std::string name;
+    double value = 0.0;
+    std::string unit;
+};
+
 /** Mutable per-binary session state behind init()/finish(). */
 struct Session
 {
@@ -80,6 +93,7 @@ struct Session
     std::string corpusPath;    ///< --corpus replay file ("" = env/fresh)
     std::chrono::steady_clock::time_point start;
     std::vector<TableRecord> tables;
+    std::vector<TimingRecord> timing;
 };
 
 inline Session &
@@ -316,6 +330,15 @@ finish()
         json += "  \"speedup\": null,\n";
     }
     json += "  \"manifest\": " + manifest().toJson() + ",\n";
+    json += "  \"timing\": [";
+    for (std::size_t t = 0; t < s.timing.size(); ++t) {
+        std::snprintf(buf, sizeof(buf), "%.6g", s.timing[t].value);
+        json += std::string(t > 0 ? ",\n    " : "\n    ") +
+                "{\"name\": \"" + detail::jsonEscape(s.timing[t].name) +
+                "\", \"value\": " + buf + ", \"unit\": \"" +
+                detail::jsonEscape(s.timing[t].unit) + "\"}";
+    }
+    json += s.timing.empty() ? "],\n" : "\n  ],\n";
     json += "  \"tables\": [\n";
     for (std::size_t t = 0; t < s.tables.size(); ++t) {
         const TableRecord &table = s.tables[t];
@@ -421,6 +444,17 @@ banner(const std::string &title, const std::string &paper_ref)
 {
     std::printf("\n=== %s ===\n(reproduces %s)\n\n", title.c_str(),
                 paper_ref.c_str());
+}
+
+/**
+ * Record a wall-clock measurement for the "timing" list of
+ * BENCH_<name>.json. Printed by the caller, never gated or diffed.
+ */
+inline void
+recordTiming(const std::string &name, double value,
+             const std::string &unit)
+{
+    session().timing.push_back({name, value, unit});
 }
 
 /**

@@ -27,6 +27,12 @@
  * The trained NN and RF parameters are hashed into an emitted table
  * as well, so the scalar/auto byte diff and the in-process sweep
  * also cover training.
+ *
+ * The extraction hot loop gets per-layer rows: one recorded DynInst
+ * stream is timed through the executor alone, PerfMonitor::step
+ * alone and FeatureSession::consume, in ns per instruction (printed
+ * and listed under "timing" in the BENCH json, never gated), and the
+ * windows it yields are hashed into an emitted table.
  */
 
 #include "bench_common.hh"
@@ -34,11 +40,14 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/hmd.hh"
+#include "features/extractor.hh"
 #include "features/matrix.hh"
 #include "features/window.hh"
 #include "ml/decision_tree.hh"
@@ -50,6 +59,9 @@
 #include "support/logging.hh"
 #include "support/rng.hh"
 #include "support/simd.hh"
+#include "trace/execution.hh"
+#include "trace/generator.hh"
+#include "uarch/perf_counters.hh"
 
 namespace
 {
@@ -245,6 +257,119 @@ syntheticWindows(std::size_t n, std::uint32_t period,
             event = rng.below(win.instCount + 1);
     }
     return out;
+}
+
+/** FNV-1a over every field of every window, in order. */
+std::uint64_t
+hashWindows(std::uint64_t h, const std::vector<features::RawWindow> &windows)
+{
+    const auto mix = [&h](std::uint64_t value) {
+        h ^= value;
+        h *= kFnvPrime;
+    };
+    for (const features::RawWindow &win : windows) {
+        for (std::uint32_t c : win.opcodeCounts)
+            mix(c);
+        for (std::uint32_t c : win.memDeltaBins)
+            mix(c);
+        for (std::uint64_t c : win.events)
+            mix(c);
+        mix(win.instCount);
+        mix(std::bit_cast<std::uint64_t>(win.cycles));
+        mix(std::bit_cast<std::uint64_t>(win.injectedFrac));
+        mix(win.truncated ? 1 : 0);
+    }
+    return h;
+}
+
+/** The extraction layers, timed over one recorded stream. */
+struct LayerTimes
+{
+    double execNs = 0.0;     ///< Executor::run into a counting sink
+    double stepNs = 0.0;     ///< PerfMonitor::step alone
+    double consumeNs = 0.0;  ///< FeatureSession::consume (incl. step)
+};
+
+/**
+ * Record the committed streams of two benign and two malware
+ * programs, then time each layer over them: best of @p passes, in ns
+ * per instruction. @p window_hash and @p windows receive the hash and
+ * count of the {5000, 10000} windows the sessions produced.
+ */
+LayerTimes
+extractionLayers(std::uint64_t insts, int passes,
+                 std::uint64_t &window_hash, std::size_t &windows)
+{
+    using clock = std::chrono::steady_clock;
+    struct CountingSink : trace::TraceSink
+    {
+        std::uint64_t n = 0;
+        void consume(const trace::DynInst &) override { ++n; }
+    };
+    struct RecordingSink : trace::TraceSink
+    {
+        std::vector<trace::DynInst> stream;
+        void consume(const trace::DynInst &inst) override
+        {
+            stream.push_back(inst);
+        }
+    };
+
+    trace::GeneratorConfig gen;
+    gen.seed = 20171014;
+    gen.benignCount = 2;
+    gen.malwareCount = 2;
+    const std::vector<trace::Program> programs =
+        trace::ProgramGenerator(gen).generateCorpus();
+    std::vector<std::vector<trace::DynInst>> streams;
+    for (const trace::Program &program : programs) {
+        RecordingSink recording;
+        recording.stream.reserve(insts);
+        trace::Executor(program, program.seed ^ 0x5eedULL)
+            .run(insts, recording);
+        streams.push_back(std::move(recording.stream));
+    }
+    const double total = static_cast<double>(insts * programs.size());
+    const auto seconds = [](clock::time_point t0) {
+        return std::chrono::duration<double>(clock::now() - t0).count();
+    };
+
+    LayerTimes best{1e30, 1e30, 1e30};
+    for (int pass = 0; pass < passes; ++pass) {
+        double exec = 0.0;
+        double step = 0.0;
+        double consume = 0.0;
+        window_hash = kFnvOffset;
+        windows = 0;
+        for (std::size_t p = 0; p < programs.size(); ++p) {
+            CountingSink counting;
+            clock::time_point t0 = clock::now();
+            trace::Executor(programs[p], programs[p].seed ^ 0x5eedULL)
+                .run(insts, counting);
+            exec += seconds(t0);
+
+            uarch::PerfMonitor monitor;
+            t0 = clock::now();
+            for (const trace::DynInst &inst : streams[p])
+                monitor.step(inst);
+            step += seconds(t0);
+
+            features::FeatureSession session({5000, 10000});
+            t0 = clock::now();
+            for (const trace::DynInst &inst : streams[p])
+                session.consume(inst);
+            consume += seconds(t0);
+            for (std::uint32_t period : {5000u, 10000u}) {
+                window_hash =
+                    hashWindows(window_hash, session.windows(period));
+                windows += session.windows(period).size();
+            }
+        }
+        best.execNs = std::min(best.execNs, exec * 1e9 / total);
+        best.stepNs = std::min(best.stepNs, step * 1e9 / total);
+        best.consumeNs = std::min(best.consumeNs, consume * 1e9 / total);
+    }
+    return best;
 }
 
 /**
@@ -456,6 +581,36 @@ main(int argc, char **argv)
                              Table::cell(speedup, 2)});
     }
     train_timing.print(std::cout);
+
+    // ---- Extraction hot loop, layer by layer -----------------------
+    // The window hash is deterministic (emitted); the per-layer
+    // ns/inst are wall time (printed and listed under "timing").
+    const std::uint64_t layer_insts = smoke() ? 50000 : 100000;
+    std::uint64_t window_hash = 0;
+    std::size_t window_count = 0;
+    const LayerTimes layers =
+        extractionLayers(layer_insts, 3, window_hash, window_count);
+    std::printf("\nextraction windows, 4 programs x %llu instructions\n",
+                static_cast<unsigned long long>(layer_insts));
+    Table extract_det({"periods", "programs", "windows", "window_hash"});
+    extract_det.addRow({"5000+10000", "4", std::to_string(window_count),
+                        hashHex(window_hash)});
+    emitTable(extract_det);
+
+    std::printf("\nextraction layers, ns per instruction (timing; not in "
+                "the deterministic tables)\n");
+    Table layer_timing({"layer", "ns_per_inst"});
+    const std::pair<const char *, double> layer_rows[] = {
+        {"trace.exec", layers.execNs},
+        {"uarch.step", layers.stepNs},
+        {"features.consume", layers.consumeNs},
+        {"features.self", layers.consumeNs - layers.stepNs},
+    };
+    for (const auto &[layer, ns] : layer_rows) {
+        layer_timing.addRow({layer, Table::cell(ns, 1)});
+        recordTiming(std::string(layer) + "_ns_per_inst", ns, "ns/inst");
+    }
+    layer_timing.print(std::cout);
 
     // ---- Speedup floors (AVX2 hosts, auto dispatch) ----------------
     if (active == simd::Target::Avx2) {

@@ -26,6 +26,7 @@ FeatureSession::FeatureSession(std::vector<std::uint32_t> periods,
         fatal_if(periods[i] == 0, "collection period must be positive");
         accums_[i].period = periods[i];
     }
+    nextClose_ = periods.front();
 }
 
 void
@@ -33,59 +34,77 @@ FeatureSession::consume(const trace::DynInst &inst)
 {
     const uarch::StepOutcome outcome = monitor_.step(inst);
     cpi_.account(inst, outcome);
-    ++totalInsts_;
 
-    // Memory-delta bin, computed once and shared by every period.
-    std::size_t delta_bin = kNumMemBins;  // sentinel: no access
+    std::size_t delta_bin = kNumMemBins;  // no access: the spare bin
     if (inst.isLoad || inst.isStore) {
         if (haveLastAddr_)
             delta_bin = memDeltaBin(lastAddr_, inst.addr);
         lastAddr_ = inst.addr;
         haveLastAddr_ = true;
     }
+    ++opcodeTotals_[static_cast<std::size_t>(inst.op)];
+    ++memBinTotals_[delta_bin];
+    injectedTotal_ += inst.injected;
 
-    const auto op_index = static_cast<std::size_t>(inst.op);
+    if (++totalInsts_ == nextClose_)
+        closeDueWindows();
+}
+
+void
+FeatureSession::closeDueWindows()
+{
+    // Ascending period order, as the windows have always closed (an
+    // installed read hook sees the same call sequence).
+    nextClose_ = ~std::uint64_t{0};
     for (PeriodAccum &accum : accums_) {
-        RawWindow &win = accum.current;
-        ++win.opcodeCounts[op_index];
-        if (delta_bin < kNumMemBins)
-            ++win.memDeltaBins[delta_bin];
-        if (inst.injected)
-            ++accum.injectedInWindow;
-        if (++win.instCount < accum.period)
-            continue;
-        closeWindow(accum, /*truncated=*/false);
+        if (accum.startInst + accum.period == totalInsts_)
+            closeWindow(accum, /*truncated=*/false);
+        nextClose_ = std::min(nextClose_, accum.startInst + accum.period);
     }
 }
 
 void
 FeatureSession::closeWindow(PeriodAccum &accum, bool truncated)
 {
-    RawWindow &win = accum.current;
-    // Window boundary: architectural events and cycles are the
-    // cumulative monitor/CPI state minus the previous snapshot.
-    // read() routes through the counter fault hook (if any), so
-    // sensor-path noise lands in the extracted windows.
+    RawWindow win;
+    // Window boundary: every count is the cumulative session state
+    // minus the snapshot at the window's start. read() routes
+    // through the counter fault hook (if any), so sensor-path noise
+    // lands in the extracted windows.
+    for (std::size_t op = 0; op < trace::kNumOpClasses; ++op) {
+        win.opcodeCounts[op] = static_cast<std::uint32_t>(
+            opcodeTotals_[op] - accum.opcodeBase[op]);
+    }
+    for (std::size_t bin = 0; bin < kNumMemBins; ++bin) {
+        win.memDeltaBins[bin] = static_cast<std::uint32_t>(
+            memBinTotals_[bin] - accum.memBinBase[bin]);
+    }
+    std::copy_n(opcodeTotals_.begin(), trace::kNumOpClasses,
+                accum.opcodeBase.begin());
+    std::copy_n(memBinTotals_.begin(), kNumMemBins,
+                accum.memBinBase.begin());
+
     const uarch::EventCounts cumulative = monitor_.read();
     uarch::saturatingDelta(cumulative, accum.eventBase, win.events);
     accum.eventBase = cumulative;
+    win.instCount = totalInsts_ - accum.startInst;
+    accum.startInst = totalInsts_;
     win.cycles = cpi_.cycles() - accum.cycleBase;
     accum.cycleBase = cpi_.cycles();
     win.injectedFrac =
-        static_cast<double>(accum.injectedInWindow) /
+        static_cast<double>(injectedTotal_ - accum.injectedBase) /
         static_cast<double>(win.instCount);
-    accum.injectedInWindow = 0;
+    accum.injectedBase = injectedTotal_;
     win.truncated = truncated;
 
     accum.done.push_back(win);
-    win = RawWindow{};
 }
 
 void
 FeatureSession::finish()
 {
     for (PeriodAccum &accum : accums_) {
-        if (accum.current.instCount == 0)
+        if (accum.startInst == totalInsts_)
             continue;  // the stream ended exactly on a boundary
         closeWindow(accum, /*truncated=*/true);
     }

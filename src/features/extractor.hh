@@ -8,6 +8,7 @@
 #ifndef RHMD_FEATURES_EXTRACTOR_HH
 #define RHMD_FEATURES_EXTRACTOR_HH
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -72,15 +73,25 @@ class FeatureSession : public trace::TraceSink
     uarch::PerfMonitor &monitor() { return monitor_; }
 
   private:
+    /**
+     * One period's window state: a snapshot of every cumulative
+     * counter at the window's start. A window is the difference of
+     * the counters at its end and this snapshot.
+     */
     struct PeriodAccum
     {
         std::uint32_t period = 0;
-        RawWindow current;
+        std::uint64_t startInst = 0;
         std::vector<RawWindow> done;
-        uarch::EventCounts eventBase{};  ///< cumulative snapshot
+        std::array<std::uint64_t, trace::kNumOpClasses> opcodeBase{};
+        std::array<std::uint64_t, kNumMemBins> memBinBase{};
+        std::uint64_t injectedBase = 0;
+        uarch::EventCounts eventBase{};
         double cycleBase = 0.0;
-        std::uint64_t injectedInWindow = 0;
     };
+
+    /** Close every window that ends at the current instruction. */
+    void closeDueWindows();
 
     /** Finalize the in-progress window of @p accum and push it. */
     void closeWindow(PeriodAccum &accum, bool truncated);
@@ -91,6 +102,15 @@ class FeatureSession : public trace::TraceSink
     bool haveLastAddr_ = false;
     std::uint64_t lastAddr_ = 0;
     std::uint64_t totalInsts_ = 0;
+    /** Instruction count at which the next window (any period) ends. */
+    std::uint64_t nextClose_ = 0;
+
+    // Whole-stream counters, bumped once per instruction whatever
+    // the number of periods. memBinTotals_[kNumMemBins] absorbs the
+    // instructions without a memory delta.
+    std::array<std::uint64_t, trace::kNumOpClasses> opcodeTotals_{};
+    std::array<std::uint64_t, kNumMemBins + 1> memBinTotals_{};
+    std::uint64_t injectedTotal_ = 0;
 };
 
 } // namespace rhmd::features

@@ -11,7 +11,6 @@
 #include <limits>
 #include <numeric>
 
-#include "ml/kernels.hh"
 #include "support/logging.hh"
 
 namespace rhmd::ml
@@ -164,7 +163,6 @@ DecisionTree::grow(const ColumnSample &sample)
     fatal_if(n > std::numeric_limits<std::uint32_t>::max(),
              "too many rows for one decision tree: ", n);
     nodes_.clear();
-    flat_ = FlatTree{};
 
     GrowState state{sample, {}, {}, {}};
     state.order.resize(sample.dim * n);
@@ -200,7 +198,6 @@ DecisionTree::train(const Dataset &data, Rng &rng)
     }
     sample.labels = data.y;
     grow(sample);
-    flat_ = flattenTree(nodes_, nullptr);
 }
 
 FlatTree
@@ -260,18 +257,11 @@ std::vector<double>
 DecisionTree::scoreBatch(const features::FeatureMatrix &x) const
 {
     panic_if(nodes_.empty(), "DT scored before training");
-    const KernelTable &k = kernels();
-    if (k.target == simd::Target::Scalar || flat_.empty()) {
-        // Reference path: the historical per-row walk over nodes_
-        // (also the path of a forest's trees, grown unflattened).
-        std::vector<double> out(x.rows());
-        for (std::size_t r = 0; r < x.rows(); ++r)
-            out[r] = scoreRow(x.row(r));
-        return out;
-    }
-    std::vector<double> out = scoreSpan(x);
-    k.treeScore(flat_, x, out.data());
-    out.resize(x.rows());  // drop padding lanes: they are not windows
+    // The node walk on every target: a single tree has no kernel
+    // (see kernels_avx2.cc; only forests amortize a vector walk).
+    std::vector<double> out(x.rows());
+    for (std::size_t r = 0; r < x.rows(); ++r)
+        out[r] = scoreRow(x.row(r));
     return out;
 }
 

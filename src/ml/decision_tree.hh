@@ -64,13 +64,6 @@ class DecisionTree : public Classifier
     /** The grown node array (root at index 0; empty before train). */
     const std::vector<Node> &nodes() const { return nodes_; }
 
-    /**
-     * The grown tree in kernel layout (rebuilt by train()). Empty for
-     * the trees of a RandomForest, which keeps its own remapped
-     * copies; scoreBatch() then walks nodes() instead.
-     */
-    const FlatTree &flat() const { return flat_; }
-
   private:
     friend class RandomForest;
 
@@ -92,8 +85,8 @@ class DecisionTree : public Classifier
     struct GrowState;
 
     /**
-     * Grow nodes_ from @p sample without flattening (the forest
-     * flattens with its own feature remap). Rows must be NaN-free.
+     * Grow nodes_ from @p sample (a forest then flattens each tree
+     * with its own feature remap). Rows must be NaN-free.
      */
     void grow(const ColumnSample &sample);
 
@@ -102,7 +95,6 @@ class DecisionTree : public Classifier
 
     TreeConfig config_;
     std::vector<Node> nodes_;
-    FlatTree flat_;
 };
 
 /**

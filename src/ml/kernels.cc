@@ -62,15 +62,6 @@ flatTreeLeaf(const FlatTree &tree, const double *row)
 }
 
 void
-scalarTreeScore(const FlatTree &tree, const features::FeatureMatrix &x,
-                double *out)
-{
-    panic_if(tree.empty(), "tree kernel on an untrained tree");
-    for (std::size_t r = 0; r < x.rows(); ++r)
-        out[r] = flatTreeLeaf(tree, x.row(r));
-}
-
-void
 scalarForestScore(const FlatTree *trees, std::size_t nTrees,
                   const features::FeatureMatrix &x, double *out)
 {
@@ -149,7 +140,6 @@ scalarTable()
         simd::Target::Scalar,
         scalarLinearMargin,
         scalarStandardizeRow,
-        scalarTreeScore,
         scalarForestScore,
         scalarRateConvertU32,
         scalarRateAccumulateU32,

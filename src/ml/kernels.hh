@@ -55,10 +55,6 @@ struct KernelTable
     void (*standardizeRow)(double *row, const double *mean,
                            const double *scale, std::size_t n);
 
-    /** out[r] = leaf value reached by row r in @p tree. */
-    void (*treeScore)(const FlatTree &tree,
-                      const features::FeatureMatrix &x, double *out);
-
     /**
      * out[r] = (sum over trees, ascending, of the leaf reached by
      * row r) / nTrees — the RandomForest::score accumulation order.

@@ -18,8 +18,9 @@
  * A forest overlaps many independent per-tree gather chains, which
  * hides the gather latency; a single shallow tree cannot, and the
  * lockstep walk (every lane steps to the deepest lane's depth)
- * measures well below the plain scalar descent — so treeScore
- * deliberately stays the scalar reference in this table.
+ * measures well below the plain scalar descent — so there is no
+ * single-tree kernel: DecisionTree::scoreBatch walks its nodes on
+ * every target.
  */
 
 #include "ml/kernels_impl.hh"
@@ -121,7 +122,6 @@ avx2Table()
         t.target = simd::Target::Avx2;
         t.linearMargin = linearMarginVec<simd::VecAvx2>;
         t.standardizeRow = standardizeRowVec<simd::VecAvx2>;
-        // treeScore stays the scalar walk (see the file comment).
         t.forestScore = forestScoreAvx2;
         t.rateConvertU32 = rateConvertU32Vec<simd::VecAvx2>;
         t.rateAccumulateU32 = rateAccumulateU32Vec<simd::VecAvx2>;

@@ -1,80 +1,66 @@
 /**
  * @file
- * Branch predictor models (bimodal and gshare), supplying the
- * branch-misprediction events of the Architectural feature family.
+ * Branch predictor model (gshare, with bimodal as its zero-history
+ * case), supplying the branch-misprediction events of the
+ * Architectural feature family.
  */
 
 #ifndef RHMD_UARCH_BRANCH_PREDICTOR_HH
 #define RHMD_UARCH_BRANCH_PREDICTOR_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 namespace rhmd::uarch
 {
 
-/** Interface for conditional-branch direction predictors. */
+/**
+ * Gshare predictor: 2-bit saturating counters indexed by the branch
+ * pc xor the global branch history. With history_bits = 0 the index
+ * is the low pc bits alone, which is the bimodal predictor.
+ */
 class BranchPredictor
-{
-  public:
-    virtual ~BranchPredictor() = default;
-
-    /** Predict the direction of the branch at @p pc. */
-    virtual bool predict(std::uint64_t pc) const = 0;
-
-    /** Train with the resolved direction. */
-    virtual void update(std::uint64_t pc, bool taken) = 0;
-
-    /** Clear all state. */
-    virtual void reset() = 0;
-};
-
-/**
- * Bimodal predictor: a table of 2-bit saturating counters indexed by
- * the low bits of the branch pc.
- */
-class BimodalPredictor : public BranchPredictor
-{
-  public:
-    /** @param table_bits log2 of the counter-table size. */
-    explicit BimodalPredictor(std::uint32_t table_bits = 12);
-
-    bool predict(std::uint64_t pc) const override;
-    void update(std::uint64_t pc, bool taken) override;
-    void reset() override;
-
-  private:
-    std::size_t index(std::uint64_t pc) const;
-
-    std::uint32_t tableBits_;
-    std::vector<std::uint8_t> counters_;
-};
-
-/**
- * Gshare predictor: 2-bit counters indexed by pc xor global branch
- * history.
- */
-class GsharePredictor : public BranchPredictor
 {
   public:
     /**
      * @param table_bits   log2 of the counter-table size.
-     * @param history_bits global-history length (<= table_bits).
+     * @param history_bits global-history length (<= table_bits);
+     *                     0 selects bimodal.
      */
-    explicit GsharePredictor(std::uint32_t table_bits = 12,
-                             std::uint32_t history_bits = 12);
+    explicit BranchPredictor(std::uint32_t table_bits = 12,
+                             std::uint32_t history_bits = 0);
 
-    bool predict(std::uint64_t pc) const override;
-    void update(std::uint64_t pc, bool taken) override;
-    void reset() override;
+    /** Predict the direction of the branch at @p pc. */
+    bool predict(std::uint64_t pc) const { return counters_[index(pc)] >= 2; }
+
+    /** Train with the resolved direction. */
+    void
+    update(std::uint64_t pc, bool taken)
+    {
+        // Saturating 2-bit counter step, [taken][counter].
+        static constexpr std::uint8_t kNext[2][4] = {{0, 0, 1, 2},
+                                                     {1, 2, 3, 3}};
+        std::uint8_t &counter = counters_[index(pc)];
+        counter = kNext[taken][counter];
+        history_ = ((history_ << 1) | (taken ? 1 : 0)) & historyMask_;
+    }
+
+    /** Clear all state. */
+    void reset();
 
   private:
-    std::size_t index(std::uint64_t pc) const;
+    std::size_t
+    index(std::uint64_t pc) const
+    {
+        // Drop the low 2 bits (branch alignment) before indexing.
+        return static_cast<std::size_t>(((pc >> 2) ^ history_) &
+                                        tableMask_);
+    }
 
-    std::uint32_t tableBits_;
-    std::uint32_t historyBits_;
-    std::uint64_t history_ = 0;
+    std::uint64_t tableMask_;
+    std::uint64_t historyMask_;
+    std::uint64_t history_ = 0;  ///< kept masked to historyMask_
     std::vector<std::uint8_t> counters_;
 };
 

@@ -10,6 +10,7 @@
 #ifndef RHMD_UARCH_CPI_MODEL_HH
 #define RHMD_UARCH_CPI_MODEL_HH
 
+#include <array>
 #include <cstdint>
 
 #include "trace/execution.hh"
@@ -39,7 +40,20 @@ class CpiModel
     explicit CpiModel(const CpiConfig &config = {});
 
     /** Account one instruction and its outcomes. */
-    void account(const trace::DynInst &inst, const StepOutcome &outcome);
+    void
+    account(const trace::DynInst &inst, const StepOutcome &outcome)
+    {
+        ++instructions_;
+        // Adding 0.0 for an absent event leaves the sum's bits as they
+        // were (the sum starts at +0.0 and so is never -0.0), so the
+        // selects round exactly like skipping the add.
+        double stall = 0.0;
+        stall += outcome.dcacheMisses * config_.dcacheMissPenalty;
+        stall += outcome.icacheMisses * config_.icacheMissPenalty;
+        stall += outcome.mispredicted ? config_.mispredictPenalty : 0.0;
+        stall += outcome.unaligned ? config_.unalignedPenalty : 0.0;
+        cycles_ += issueCycles_[trace::opIndex(inst.op)] + stall;
+    }
 
     /** Estimated cycles so far. */
     double cycles() const { return cycles_; }
@@ -55,6 +69,12 @@ class CpiModel
 
   private:
     CpiConfig config_;
+    /**
+     * Per-opcode issue cost: max(1 / issueWidth, exposed latency),
+     * where long-latency ops (latency > 2) are modelled as partially
+     * overlapped and expose half their latency.
+     */
+    std::array<double, trace::kNumOpClasses> issueCycles_{};
     double cycles_ = 0.0;
     std::uint64_t instructions_ = 0;
 };

@@ -5,6 +5,8 @@
 
 #include "uarch/perf_counters.hh"
 
+#include <bit>
+
 #include "ml/kernels.hh"
 #include "support/logging.hh"
 
@@ -49,20 +51,44 @@ eventName(Event event)
     rhmd_panic("bad event id");
 }
 
-PerfMonitor::PerfMonitor(const PmuConfig &config)
-    : config_(config),
-      icache_(config.icache),
-      dcache_(config.dcache),
-      bimodal_(config.predictorTableBits),
-      gshare_(config.predictorTableBits, config.predictorTableBits)
+namespace
 {
-    counts_.fill(0);
+
+/** The opcode-class event (Calls, Returns, ...) one opcode bumps. */
+struct OpEvent
+{
+    std::uint8_t event = 0;
+    std::uint8_t count = 0;  ///< 0 for opcodes with no such event
+};
+
+constexpr std::array<OpEvent, trace::kNumOpClasses> kOpEvents = [] {
+    std::array<OpEvent, trace::kNumOpClasses> table{};
+    auto set = [&table](trace::OpClass op, Event event) {
+        table[static_cast<std::size_t>(op)] = {
+            static_cast<std::uint8_t>(event), 1};
+    };
+    set(trace::OpClass::Call, Event::Calls);
+    set(trace::OpClass::Ret, Event::Returns);
+    set(trace::OpClass::SystemOp, Event::Syscalls);
+    set(trace::OpClass::Xchg, Event::Atomics);
+    return table;
+}();
+
+constexpr std::size_t
+at(Event event)
+{
+    return static_cast<std::size_t>(event);
 }
 
-void
-PerfMonitor::bump(Event event, std::uint64_t n)
+} // namespace
+
+PerfMonitor::PerfMonitor(const PmuConfig &config)
+    : icache_(config.icache),
+      dcache_(config.dcache),
+      predictor_(config.predictorTableBits,
+                 config.useGshare ? config.predictorTableBits : 0)
 {
-    counts_[static_cast<std::size_t>(event)] += n;
+    counts_.fill(0);
 }
 
 StepOutcome
@@ -72,53 +98,36 @@ PerfMonitor::step(const trace::DynInst &inst)
 
     // Instruction fetch.
     outcome.icacheMisses = icache_.access(inst.pc, inst.size);
-    bump(Event::ICacheMisses, outcome.icacheMisses);
+    counts_[at(Event::ICacheMisses)] += outcome.icacheMisses;
 
-    // Data access.
+    // Data access. Alignment is a mask test for the power-of-two
+    // sizes every generated access has, a modulo otherwise.
+    counts_[at(Event::Loads)] += inst.isLoad;
+    counts_[at(Event::Stores)] += inst.isStore;
     if (inst.isLoad || inst.isStore) {
-        if (inst.isLoad)
-            bump(Event::Loads);
-        if (inst.isStore)
-            bump(Event::Stores);
         outcome.dcacheMisses = dcache_.access(inst.addr, inst.accessSize);
-        bump(Event::DCacheMisses, outcome.dcacheMisses);
-        if (inst.accessSize > 1 &&
-            (inst.addr % inst.accessSize) != 0) {
-            outcome.unaligned = true;
-            bump(Event::Unaligned);
+        counts_[at(Event::DCacheMisses)] += outcome.dcacheMisses;
+        const std::uint32_t size = inst.accessSize;
+        if (size > 1) {
+            const std::uint64_t offset = std::has_single_bit(size)
+                ? inst.addr & (size - 1)
+                : inst.addr % size;
+            outcome.unaligned = offset != 0;
+            counts_[at(Event::Unaligned)] += outcome.unaligned;
         }
     }
 
     // Control flow.
     if (inst.isCondBranch) {
-        bump(Event::CondBranches);
-        BranchPredictor &pred = config_.useGshare
-            ? static_cast<BranchPredictor &>(gshare_)
-            : static_cast<BranchPredictor &>(bimodal_);
-        outcome.mispredicted = pred.predict(inst.pc) != inst.taken;
-        if (outcome.mispredicted)
-            bump(Event::Mispredicts);
-        pred.update(inst.pc, inst.taken);
+        ++counts_[at(Event::CondBranches)];
+        outcome.mispredicted = predictor_.predict(inst.pc) != inst.taken;
+        counts_[at(Event::Mispredicts)] += outcome.mispredicted;
+        predictor_.update(inst.pc, inst.taken);
     }
-    if (inst.isBranch && inst.taken)
-        bump(Event::TakenBranches);
+    counts_[at(Event::TakenBranches)] += inst.isBranch && inst.taken;
 
-    switch (inst.op) {
-      case trace::OpClass::Call:
-        bump(Event::Calls);
-        break;
-      case trace::OpClass::Ret:
-        bump(Event::Returns);
-        break;
-      case trace::OpClass::SystemOp:
-        bump(Event::Syscalls);
-        break;
-      case trace::OpClass::Xchg:
-        bump(Event::Atomics);
-        break;
-      default:
-        break;
-    }
+    const OpEvent op_event = kOpEvents[trace::opIndex(inst.op)];
+    counts_[op_event.event] += op_event.count;
 
     return outcome;
 }
@@ -138,8 +147,7 @@ PerfMonitor::reset()
     counts_.fill(0);
     icache_.reset();
     dcache_.reset();
-    bimodal_.reset();
-    gshare_.reset();
+    predictor_.reset();
 }
 
 } // namespace rhmd::uarch

@@ -131,13 +131,9 @@ class PerfMonitor
     void reset();
 
   private:
-    void bump(Event event, std::uint64_t n = 1);
-
-    PmuConfig config_;
     Cache icache_;
     Cache dcache_;
-    BimodalPredictor bimodal_;
-    GsharePredictor gshare_;
+    BranchPredictor predictor_;  ///< gshare, or bimodal (0 history)
     EventCounts counts_{};
     CounterReadHook readHook_;
 };
